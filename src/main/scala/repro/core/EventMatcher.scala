@@ -109,7 +109,6 @@ object EventMatcher {
     }
     val projected = matchesDf.select(items :+ col("__alert_ts"): _*)
     if (q.ret.distinct) {
-      val names = items.map(_.toString) // not used; group by resolved names
       val cols = q.ret.items.collect { case AttrRef(r) => r.colName }
       projected.groupBy(cols.map(col): _*)
         .agg(min(col("__alert_ts")).as("__alert_ts"))

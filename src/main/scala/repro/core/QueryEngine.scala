@@ -34,9 +34,22 @@ final case class AlertRecord(
   */
 object QueryEngine {
 
-  def run(events: DataFrame, q: SaqlQuery): Seq[AlertRecord] = q.modelType match {
-    case RuleModel => runRule(events, q)
-    case _         => runStateful(events, q)
+  def run(events: DataFrame, q: SaqlQuery): Seq[AlertRecord] = {
+    validate(q)
+    q.modelType match {
+      case RuleModel => runRule(events, q)
+      case _         => checkStates(q, StateMaintainer.collectStates(StateMaintainer.states(events, q), q))
+    }
+  }
+
+  /** Rejects a stateful query the checker cannot evaluate, naming it, so
+    * the error comes before any Spark job runs.
+    */
+  def validate(q: SaqlQuery): Unit = if (q.modelType != RuleModel) {
+    require(q.state.isDefined, s"query '${q.name}': stateful model needs a state block")
+    require(q.window.isDefined, s"query '${q.name}': stateful model needs #time(...)")
+    q.cluster.foreach(cb => require(cb.args.size >= 2,
+      s"query '${q.name}': DBSCAN needs (eps, minPts) args, got ${cb.args}"))
   }
 
   // ------------------------------------------------------------------ rule
@@ -53,12 +66,14 @@ object QueryEngine {
 
   // -------------------------------------------------------------- stateful
 
-  private def runStateful(events: DataFrame, q: SaqlQuery): Seq[AlertRecord] = {
-    val sb = q.state.getOrElse(
-      throw new IllegalArgumentException(s"query '${q.name}': stateful model needs a state block"))
+  /** The stateful checker: runs a [[validate]]d query's anomaly model over
+    * its window states, `byWindow` as [[StateMaintainer.collectStates]]
+    * returns them, on the driver.
+    */
+  private[core] def checkStates(q: SaqlQuery,
+                                byWindow: Seq[(Long, Seq[StateMaintainer.StateRow])]): Seq[AlertRecord] = {
+    val sb = q.state.get
     val w  = q.window.get
-    val statesDf  = StateMaintainer.states(events, q)
-    val byWindow  = StateMaintainer.collectStates(statesDf, q)
     val funcOf    = sb.defs.map(d => d.name -> d.func).toMap
     def defaultVal(field: String): Value =
       if (funcOf.get(field).contains("set")) SetV(Set.empty) else NumV(0.0)
@@ -82,8 +97,6 @@ object QueryEngine {
       // DBSCAN over this window's group points, if the query clusters.
       val outlierOf: Map[Seq[String], Boolean] = q.cluster match {
         case Some(cb) =>
-          require(cb.args.size >= 2,
-            s"query '${q.name}': DBSCAN needs (eps, minPts) args, got ${cb.args}")
           val points = rows.map { r =>
             cb.points.map(f => r.vals.getOrElse(f.attr.getOrElse(f.varName),
               throw new IllegalArgumentException(s"unknown state field in cluster points: $f")).asNum).toArray

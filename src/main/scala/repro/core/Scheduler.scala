@@ -8,16 +8,23 @@ import repro.saql.Ast._
   * scheme.
   *
   * Concurrent queries are divided into groups by semantic compatibility
-  * (same pattern shape: event types, operations, window). Each group gets
-  * a master whose match set covers every member — the member whose
-  * constraints subsume all others', or, failing a syntactic subsumption
-  * witness, a synthesized union-of-constraints master. Only masters touch
-  * the stream; dependents execute over the master's intermediate matched
-  * events, so one copy of the stream data serves the whole group.
+  * (same pattern shape: event types, operations, window), and each group
+  * reads one copy of the stream:
+  *   - A group of single-pattern stateful queries whose group-by keys
+  *     resolve to the same event columns runs as one Spark job
+  *     ([[StateMaintainer.sharedStates]]): one scan filtered by the OR of
+  *     the members' patterns, one shuffle by (window, keys) computing every
+  *     member's states as conditional aggregates, and one collect that
+  *     feeds each member's driver-side checker.
+  *   - Any other group gets a master whose match set covers every member —
+  *     the member whose constraints subsume all others', or, failing a
+  *     syntactic subsumption witness, a synthesized union-of-constraints
+  *     master. Only the master touches the stream; its matched events are
+  *     cached and each dependent runs over them.
   *
   * [[ExecStats]] counts what the paper's scheme optimises: stream rows
-  * ingested (one full-scan copy per master vs per query) and rows copied
-  * onward to dependent queries.
+  * ingested (one full-scan copy per group vs per query) and rows copied
+  * into per-query buffers.
   */
 object Scheduler {
 
@@ -61,6 +68,13 @@ object Scheduler {
         events.filter(members.flatMap(q =>
           q.patterns.map(p => Columns.patternPredicate(q, p))).reduce(_ || _))
     }
+
+    /** Whether the group runs as one shared state job: every member is a
+      * single-pattern stateful query, and all group by the same columns.
+      */
+    def shared: Boolean =
+      members.forall(q => q.state.isDefined && q.patterns.size == 1) &&
+        members.map(StateMaintainer.keyColumns).distinct.size == 1
   }
 
   /** Group queries by compatibility and elect masters. */
@@ -77,7 +91,11 @@ object Scheduler {
       groups: Int,
       /** Full stream scans performed (stream rows x scan count). */
       rowsScanned: Long,
-      /** Rows materialised into per-query buffers (the "data copies"). */
+      /** Rows materialised into per-query buffers (the "data copies"): the
+        * stream copy each query or group reads, plus, in a master group,
+        * the master's output once per dependent. A shared state job fills
+        * no per-query buffer.
+        */
       rowsCopied: Long,
       wallMs: Long)
 
@@ -98,10 +116,12 @@ object Scheduler {
                 n * queries.size, wall))
   }
 
-  /** SAQL arm: one stream copy per group; dependents read the master's
-    * (much smaller) matched-event output.
+  /** SAQL arm: one stream copy per group; a shared group is one state
+    * job, the members of any other group read the master's (much smaller)
+    * matched-event output.
     */
   def runMasterDependent(events: DataFrame, queries: Seq[SaqlQuery]): ScheduledRun = {
+    queries.foreach(QueryEngine.validate)
     val t0 = System.nanoTime()
     val n  = events.count()
     val groups = group(queries)
@@ -109,17 +129,23 @@ object Scheduler {
     var copied  = 0L
     val alerts = Map.newBuilder[String, Seq[AlertRecord]]
     for (g <- groups) {
-      val masterDf = g.masterFilter(events).cache()
-      val m = masterDf.count()
       scanned += n         // one full scan feeds the whole group
       copied += n          // the group's single stream copy
-      for (q <- g.members) {
-        // Dependent execution over the master's intermediate results: the
-        // engine re-applies the dependent's own (stricter) predicates.
-        alerts += q.name -> QueryEngine.run(masterDf, q)
-        if (g.members.size > 1) copied += m // dependent's view of master output
+      if (g.shared) {
+        val states = StateMaintainer.sharedStates(events, g.members)
+        for ((q, byWindow) <- g.members.zip(states))
+          alerts += q.name -> QueryEngine.checkStates(q, byWindow)
+      } else {
+        val masterDf = g.masterFilter(events).cache()
+        val m = masterDf.count()
+        for (q <- g.members) {
+          // Dependent execution over the master's intermediate results: the
+          // engine re-applies the dependent's own (stricter) predicates.
+          alerts += q.name -> QueryEngine.run(masterDf, q)
+          if (g.members.size > 1) copied += m // dependent's view of master output
+        }
+        masterDf.unpersist()
       }
-      masterDf.unpersist()
     }
     val wall = (System.nanoTime() - t0) / 1_000_000
     ScheduledRun(alerts.result(),

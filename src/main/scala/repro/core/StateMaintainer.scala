@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.saql.Ast._
@@ -15,9 +15,13 @@ import repro.saql.Ast._
   */
 object StateMaintainer {
 
-  /** Aggregate column for one `name := func(arg)` state definition. */
-  def aggFor(q: SaqlQuery, d: StateDef): Column = {
-    val c = col(Columns.resolve(q, d.arg))
+  /** Aggregate column for one `name := func(arg)` state definition. With
+    * `onlyWhen`, rows where it does not hold feed the aggregate a null,
+    * which every aggregate here skips.
+    */
+  def aggFor(q: SaqlQuery, d: StateDef, onlyWhen: Option[Column] = None): Column = {
+    val arg = col(Columns.resolve(q, d.arg))
+    val c = onlyWhen.fold(arg)(when(_, arg))
     val a = d.func match {
       case "avg"   => avg(c)
       case "sum"   => sum(c).cast(DoubleType)
@@ -73,26 +77,69 @@ object StateMaintainer {
     */
   def collectStates(statesDf: DataFrame, q: SaqlQuery): Seq[(Long, Seq[StateRow])] = {
     val sb = q.state.get
-    val keyNames = sb.groupBy.map(_.colName)
-    val rows = statesDf.collect().toSeq.map { r =>
-      val win = r.getAs[Long]("__win")
-      val key = keyNames.map(k => String.valueOf(r.getAs[Any](k)))
-      val vals: Map[String, Eval.Value] = sb.defs.map { d =>
-        val v: Eval.Value = d.func match {
-          case "set" =>
-            Eval.SetV(r.getAs[scala.collection.Seq[String]](d.name).toSet)
-          case _ =>
-            val x = r.getAs[Any](d.name)
-            Eval.NumV(x match {
-              case null      => 0.0
-              case n: Number => n.doubleValue()
-              case o         => o.toString.toDouble
-            })
-        }
-        d.name -> v
-      }.toMap
-      StateRow(win, key, vals)
-    }
-    rows.groupBy(_.win).toSeq.sortBy(_._1)
+    byWindow(statesDf.collect().toSeq.map(
+      stateRow(_, q, sb.groupBy.map(_.colName), identity)))
   }
+
+  /** Group-by event columns of a stateful query, in group-by order. */
+  private[core] def keyColumns(q: SaqlQuery): Seq[String] =
+    q.state.get.groupBy.map(Columns.resolve(q, _))
+
+  /** Window states of several single-pattern stateful queries in one Spark
+    * job. The queries must share one window and their group-by keys must
+    * resolve to the same event columns ([[keyColumns]]). The job filters by
+    * the OR of the pattern predicates, assigns windows once and groups by
+    * the shared keys. Each query contributes a presence count of its own
+    * matching events plus its state definitions as aggregates over only
+    * those events. Returns, per query and in order, what
+    * `collectStates(states(events, q), q)` returns: a (window, key) enters a
+    * query's states only if one of its own events fell in it.
+    */
+  private[core] def sharedStates(events: DataFrame, qs: Seq[SaqlQuery]): Seq[Seq[(Long, Seq[StateRow])]] = {
+    val keys = keyColumns(qs.head).zipWithIndex.map { case (c, j) => col(c).as(s"__k$j") }
+    val flags = qs.indices.map(i => col(s"__p$i"))
+    val flagged = events.select(col("*") +: qs.zipWithIndex.map { case (q, i) =>
+      Columns.patternPredicate(q, q.patterns.head).as(s"__p$i")
+    }: _*).filter(flags.reduce(_ || _))
+    val aggs = qs.zipWithIndex.flatMap { case (q, i) =>
+      count(when(flags(i), 1)).as(s"__n$i") +:
+        q.state.get.defs.map(d => aggFor(q, d, Some(flags(i))).as(s"__s${i}_${d.name}"))
+    }
+    val rows = assignWindows(flagged, qs.head.window.get)
+      .groupBy(col("__win") +: keys: _*)
+      .agg(aggs.head, aggs.tail: _*)
+      .collect().toSeq
+    val keyNames = keys.indices.map(j => s"__k$j")
+    qs.zipWithIndex.map { case (q, i) =>
+      byWindow(rows.filter(_.getAs[Long](s"__n$i") > 0)
+        .map(stateRow(_, q, keyNames, n => s"__s${i}_$n")))
+    }
+  }
+
+  /** Decode one aggregated row: `__win`, the group key from `keyNames` (in
+    * group-by order) and each state definition from column `valueCol(name)`.
+    */
+  private def stateRow(r: Row, q: SaqlQuery, keyNames: Seq[String],
+                       valueCol: String => String): StateRow = {
+    val win = r.getAs[Long]("__win")
+    val key = keyNames.map(k => String.valueOf(r.getAs[Any](k)))
+    val vals: Map[String, Eval.Value] = q.state.get.defs.map { d =>
+      val v: Eval.Value = d.func match {
+        case "set" =>
+          Eval.SetV(r.getAs[scala.collection.Seq[String]](valueCol(d.name)).toSet)
+        case _ =>
+          val x = r.getAs[Any](valueCol(d.name))
+          Eval.NumV(x match {
+            case null      => 0.0
+            case n: Number => n.doubleValue()
+            case o         => o.toString.toDouble
+          })
+      }
+      d.name -> v
+    }.toMap
+    StateRow(win, key, vals)
+  }
+
+  private def byWindow(rows: Seq[StateRow]): Seq[(Long, Seq[StateRow])] =
+    rows.groupBy(_.win).toSeq.sortBy(_._1)
 }

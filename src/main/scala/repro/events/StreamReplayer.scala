@@ -42,15 +42,12 @@ object StreamReplayer {
     }
   }
 
-  /** Write the replayed stream as JSON part-files ordered by time bucket —
+  /** Write the replayed stream as JSON part-files, in no particular order —
     * the on-disk feed a Structured Streaming file source can tail. Returns
     * the directory written.
     */
-  def writeFeed(events: DataFrame, dir: String, buckets: Int = 8): String = {
-    events
-      .withColumn("__bucket", (col("ts") % buckets).cast("int"))
-      .drop("__bucket")
-      .write.mode("overwrite").json(dir)
+  def writeFeed(events: DataFrame, dir: String): String = {
+    events.write.mode("overwrite").json(dir)
     dir
   }
 }

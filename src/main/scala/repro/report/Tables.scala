@@ -146,6 +146,9 @@ object Tables {
     master +: deps
   }
 
+  /** Both schemes over N = `ns` concurrent queries; `speedup` is the
+    * independent arm's wall time over the master-dependent arm's.
+    */
   def t3(spark: SparkSession, sf: Double = 0.05,
          ns: Seq[Int] = Seq(4, 8, 16, 20)): (String, Seq[T3Row]) = {
     val stream = MonitoringData.events(spark, sf = sf, seed = 0).cache()
@@ -154,8 +157,10 @@ object Tables {
       val qs = concurrentQueries(n)
       val ind = Scheduler.runIndependent(stream, qs)
       val mdq = Scheduler.runMasterDependent(stream, qs)
+      // Correctness guard: sharing must not change any query's alerts.
+      val differs = qs.map(_.name).find(q => ind.alerts.get(q) != mdq.alerts.get(q))
       require(ind.alerts == mdq.alerts,
-        s"scheme changed query results at n=$n") // correctness guard
+        s"scheme changed query results at n=$n, first for ${differs.getOrElse("a query outside the set")}")
       Seq(
         T3Row(n, "independent", ind.stats.groups, ind.stats.rowsScanned,
               ind.stats.rowsCopied, ind.stats.wallMs),
@@ -165,14 +170,15 @@ object Tables {
     stream.unpersist()
     val table = fmt(
       Seq("n_queries", "scheme", "groups", "rows_scanned", "rows_copied",
-          "copy_reduction", "wall_ms"),
+          "copy_reduction", "wall_ms", "speedup"),
       rows.grouped(2).flatMap { case Seq(i, m) =>
         Seq(
           Seq(i.n.toString, i.scheme, i.groups.toString, i.rowsScanned.toString,
-              i.rowsCopied.toString, "1.0x", i.wallMs.toString),
+              i.rowsCopied.toString, "1.0x", i.wallMs.toString, "1.0x"),
           Seq(m.n.toString, m.scheme, m.groups.toString, m.rowsScanned.toString,
               m.rowsCopied.toString,
-              f"${i.rowsCopied.toDouble / m.rowsCopied}%.1fx", m.wallMs.toString))
+              f"${i.rowsCopied.toDouble / m.rowsCopied}%.1fx", m.wallMs.toString,
+              f"${i.wallMs.toDouble / math.max(1L, m.wallMs)}%.1fx"))
       }.toSeq)
     (table, rows)
   }

@@ -181,4 +181,20 @@ class QueryEngineSpec extends SparkSpec {
     val alerts = QueryEngine.run(df(spark, evs), smaQuery)
     assert(alerts.head.ts == 110_000L) // window [100k, 110k)
   }
+
+  // ------------------------------------------------------- early errors
+
+  test("malformed stateful queries fail with their name before any Spark job") {
+    val bad = Seq(
+      smaQuery.copy(name = "no_window",
+        patterns = smaQuery.patterns.map(_.copy(window = None))),
+      outlierQuery.copy(name = "no_state", state = None),
+      outlierQuery.copy(name = "one_dbscan_arg",
+        cluster = outlierQuery.cluster.map(_.copy(args = Seq(1000.0)))))
+    val events = poisoned(df(spark, Seq(net(0, 1000L, "db.exe", "6.6.6.6", 500_000))))
+    for (q <- bad) {
+      val e = intercept[IllegalArgumentException](QueryEngine.run(events, q))
+      assert(e.getMessage.contains(s"'${q.name}'"), e.getMessage)
+    }
+  }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.{col, udf}
 import repro.events.SystemEvent
 
 /** Hand-crafted event streams for deterministic engine-semantics tests. */
@@ -27,5 +28,17 @@ object TestEvents {
   def df(spark: SparkSession, events: Seq[SystemEvent]): DataFrame = {
     import spark.implicits._
     events.toDF()
+  }
+
+  /** `events` behind a filter that throws when evaluated: any Spark job
+    * over the result fails, so an error of another kind shows that no job
+    * ran before it.
+    */
+  def poisoned(events: DataFrame): DataFrame = {
+    val explode = udf { (ts: Long) =>
+      if (ts >= Long.MinValue) throw new IllegalStateException("a Spark job ran")
+      true
+    }
+    events.filter(explode(col("ts")))
   }
 }
