@@ -21,9 +21,9 @@ class T2ThroughputBench extends SparkSpec {
 
   test("T2: every model sustains the monitored feed rate with headroom") {
     // 100 hosts at ~50GB/day is on the order of 10^2 events/s. Small runs
-    // carry Spark's fixed per-job overhead (a few seconds for the 4-way
-    // sequence join), so demand 1 order of magnitude headroom there and 3
-    // orders at the 1M-event scale where overheads have amortised.
+    // carry Spark's fixed per-job overhead (a few hundred ms per query), so
+    // demand 1 order of magnitude headroom there and 3 orders at the
+    // 1M-event scale where overheads have amortised.
     result._2.foreach(r =>
       assert(r.eventsPerSec > 1_000, s"${r.model}@${r.events}: ${r.eventsPerSec}/s"))
     result._2.filter(_.events > 500_000).foreach(r =>

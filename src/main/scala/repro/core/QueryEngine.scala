@@ -23,7 +23,8 @@ final case class AlertRecord(
 /** The SAQL anomaly query engine.
   *
   * Dispatches a parsed query to its anomaly-model evaluator:
-  *   - rule-based       -> multi-event matcher (Catalyst joins);
+  *   - rule-based       -> multi-event matcher (one tagged candidate scan,
+  *                         sequence join on the driver);
   *   - time-series      -> window states + `ss[k]` history ring + alert expr;
   *   - invariant-based  -> train on the first N windows, then detect;
   *   - outlier-based    -> per-window DBSCAN over group states.
@@ -54,13 +55,19 @@ object QueryEngine {
 
   // ------------------------------------------------------------------ rule
 
+  /** The matches, projected to the `return` items on the driver: one
+    * Spark job in all.
+    */
   private def runRule(events: DataFrame, q: SaqlQuery): Seq[AlertRecord] = {
-    val projected = EventMatcher.project(EventMatcher.matches(events, q), q)
-    val names = q.ret.items.collect { case AttrRef(r) => r.colName }
-    projected.collect().toSeq.map { r =>
-      val ts = r.getAs[Long]("__alert_ts")
-      val vals = names.map(n => n -> String.valueOf(r.getAs[Any](n))).toMap
-      AlertRecord(q.name, -1L, ts, vals)
+    val refs = EventMatcher.returnRefs(q)
+    val m = EventMatcher.collectMatches(events, q)
+    val at = refs.map(r => m.schema.fieldIndex(EventMatcher.returnField(q, r)))
+    val tsAt = m.schema.fieldIndex("__alert_ts")
+    val rows = m.rows.map(r => (at.map(r.get), r.getLong(tsAt)))
+    // `distinct` keeps the earliest alert time per distinct row.
+    val alerts = if (q.ret.distinct) rows.groupMapReduce(_._1)(_._2)(math.min).toSeq else rows
+    alerts.map { case (vals, ts) =>
+      AlertRecord(q.name, -1L, ts, refs.map(_.colName).zip(vals.map(String.valueOf)).toMap)
     }.sortBy(_.ts)
   }
 

@@ -1,11 +1,14 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.LongType
 import repro.{Oracle, SparkSpec}
 import repro.events.{AttackTrace, MonitoringData}
 import repro.saql.Parser
 
-/** Multi-event matcher: Catalyst sequence joins, oracle-checked on DuckDB. */
+/** Multi-event matcher: one tagged candidate scan and the driver-side
+  * sequence join, oracle-checked on DuckDB.
+  */
 class EventMatcherSpec extends SparkSpec {
 
   private lazy val stream =
@@ -161,5 +164,122 @@ class EventMatcherSpec extends SparkSpec {
     val out = EventMatcher.project(EventMatcher.matches(stream, q), q).collect()
     assert(out.length == 1) // 5 events collapse to one distinct row
     assert(out.head.getAs[Long]("__alert_ts") == 1_800_000L + 930_000L)
+  }
+
+  test("oracle: the 3-pattern r4 chain, with alert time, equals DuckDB") {
+    val q = repro.queries.DemoQueries.r4Penetration(1L)
+    val got = EventMatcher.project(EventMatcher.matches(stream, q), q)
+    assert(got.count() == 1)
+    Oracle.assertEquivalent(got,
+      """SELECT a.subj_exe AS p1, a.file_name AS f1, b.obj_exe AS p2, c.dst_ip AS i1,
+        |  MIN(GREATEST(CAST(a.ts AS BIGINT), CAST(b.ts AS BIGINT),
+        |               CAST(c.ts AS BIGINT))) AS __alert_ts
+        |FROM events a, events b, events c
+        |WHERE a.event_type = 'file' AND a.op = 'write'
+        |  AND a.subj_exe LIKE '%cscript.exe' AND a.file_name LIKE '%sbblv.exe'
+        |  AND CAST(a.agentid AS BIGINT) = 1
+        |  AND b.event_type = 'process' AND b.op = 'start'
+        |  AND b.subj_exe LIKE '%cscript.exe' AND b.obj_exe LIKE '%sbblv.exe'
+        |  AND CAST(b.agentid AS BIGINT) = 1
+        |  AND c.event_type = 'network' AND c.op = 'write'
+        |  AND c.subj_exe LIKE '%sbblv.exe' AND c.dst_ip = '203.0.113.129'
+        |  AND CAST(c.agentid AS BIGINT) = 1
+        |  AND a.subj_exe = b.subj_exe
+        |  AND CAST(a.subj_pid AS BIGINT) = CAST(b.subj_pid AS BIGINT)
+        |  AND b.obj_exe = c.subj_exe
+        |  AND CAST(b.obj_pid AS BIGINT) = CAST(c.subj_pid AS BIGINT)
+        |  AND CAST(a.ts AS BIGINT) < CAST(b.ts AS BIGINT)
+        |  AND CAST(b.ts AS BIGINT) < CAST(c.ts AS BIGINT)
+        |GROUP BY 1, 2, 3, 4
+        |""".stripMargin,
+      "events" -> stream)
+  }
+
+  test("oracle: the 4-pattern r5 chain, with a variable-free pair, equals DuckDB") {
+    // evt1 -> evt2 shares no variable: only the temporal order joins them.
+    val q = repro.queries.DemoQueries.r5DataExfiltration(1L)
+    val got = EventMatcher.project(EventMatcher.matches(stream, q), q)
+    assert(got.count() == 1)
+    Oracle.assertEquivalent(got,
+      """SELECT a.subj_exe AS p1, a.obj_exe AS p2, b.subj_exe AS p3,
+        |  b.file_name AS f1, c.subj_exe AS p4, d.dst_ip AS i1,
+        |  MIN(GREATEST(CAST(a.ts AS BIGINT), CAST(b.ts AS BIGINT),
+        |               CAST(c.ts AS BIGINT), CAST(d.ts AS BIGINT))) AS __alert_ts
+        |FROM events a, events b, events c, events d
+        |WHERE a.event_type = 'process' AND a.op = 'start'
+        |  AND a.subj_exe LIKE '%cmd.exe' AND a.obj_exe LIKE '%osql.exe'
+        |  AND CAST(a.agentid AS BIGINT) = 1
+        |  AND b.event_type = 'file' AND b.op = 'write'
+        |  AND b.subj_exe LIKE '%sqlservr.exe' AND b.file_name LIKE '%backup1.dmp'
+        |  AND CAST(b.agentid AS BIGINT) = 1
+        |  AND c.event_type = 'file' AND c.op = 'read'
+        |  AND c.subj_exe LIKE '%sbblv.exe' AND c.file_name LIKE '%backup1.dmp'
+        |  AND CAST(c.agentid AS BIGINT) = 1
+        |  AND d.event_type = 'network' AND d.op IN ('read', 'write')
+        |  AND d.subj_exe LIKE '%sbblv.exe' AND d.dst_ip = '203.0.113.129'
+        |  AND CAST(d.agentid AS BIGINT) = 1
+        |  AND b.file_name = c.file_name
+        |  AND c.subj_exe = d.subj_exe
+        |  AND CAST(c.subj_pid AS BIGINT) = CAST(d.subj_pid AS BIGINT)
+        |  AND CAST(a.ts AS BIGINT) < CAST(b.ts AS BIGINT)
+        |  AND CAST(b.ts AS BIGINT) < CAST(c.ts AS BIGINT)
+        |  AND CAST(c.ts AS BIGINT) < CAST(d.ts AS BIGINT)
+        |GROUP BY 1, 2, 3, 4, 5, 6
+        |""".stripMargin,
+      "events" -> stream)
+  }
+
+  test("oracle: a non-distinct return keeps every match, duplicates included") {
+    val q = Parser.parse(
+      """agentid = 1
+        |proc p3["%sqlservr.exe"] write ip i1[dstip="203.0.113.129"] as evt1
+        |proc p4["%sbblv.exe"] write ip i2[dstip="203.0.113.129"] as evt2
+        |with evt1 -> evt2
+        |return p3, p4, i2""".stripMargin)
+    val got = EventMatcher.project(EventMatcher.matches(stream, q), q)
+    assert(got.count() > got.distinct().count()) // the projection repeats rows
+    Oracle.assertEquivalent(got,
+      """SELECT a.subj_exe AS p3, b.subj_exe AS p4, b.dst_ip AS i2,
+        |  GREATEST(CAST(a.ts AS BIGINT), CAST(b.ts AS BIGINT)) AS __alert_ts
+        |FROM events a, events b
+        |WHERE a.event_type = 'network' AND a.op = 'write'
+        |  AND a.subj_exe LIKE '%sqlservr.exe' AND a.dst_ip = '203.0.113.129'
+        |  AND CAST(a.agentid AS BIGINT) = 1
+        |  AND b.event_type = 'network' AND b.op = 'write'
+        |  AND b.subj_exe LIKE '%sbblv.exe' AND b.dst_ip = '203.0.113.129'
+        |  AND CAST(b.agentid AS BIGINT) = 1
+        |  AND CAST(a.ts AS BIGINT) < CAST(b.ts AS BIGINT)
+        |""".stripMargin,
+      "events" -> stream)
+  }
+
+  test("a null constraint result makes an event no candidate for that pattern") {
+    // The first event has no dst_ip: evt1's flag is null, evt2's is true.
+    val evs = Seq(
+      TestEvents.net(0, 1000L, "beacon.exe", null, 10),
+      TestEvents.net(0, 2000L, "beacon.exe", "1.1.1.1", 10),
+      TestEvents.net(0, 3000L, "beacon.exe", "2.2.2.2", 10))
+    val q = Parser.parse(
+      """proc p1["%beacon.exe"] write ip i1[dstip != "10.9.9.9"] as evt1
+        |proc p1 write ip i2 as evt2
+        |with evt1 -> evt2
+        |return p1, i1, i2""".stripMargin, "nullflag")
+    val alerts = QueryEngine.run(TestEvents.df(spark, evs), q)
+    assert(alerts == Seq(AlertRecord("nullflag", -1L, 3000L,
+      Map("p1" -> "beacon.exe", "i1" -> "1.1.1.1", "i2" -> "2.2.2.2"))))
+  }
+
+  test("a shared identity attribute that is null on both sides does not join") {
+    val q = Parser.parse(
+      """proc p1["%a.exe"] start proc p2 as evt1
+        |proc p3["%b.exe"] start proc p2 as evt2
+        |with evt1 -> evt2
+        |return p1, p2, p3""".stripMargin)
+    val evs = TestEvents.df(spark, Seq(
+      TestEvents.start(0, 1000L, "a.exe", "child.exe"),
+      TestEvents.start(0, 2000L, "b.exe", "child.exe")))
+    assert(EventMatcher.matches(evs, q).count() == 1)
+    val noPid = evs.withColumn("obj_pid", lit(null).cast(LongType))
+    assert(EventMatcher.matches(noPid, q).count() == 0)
   }
 }

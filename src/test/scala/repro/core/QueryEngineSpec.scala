@@ -1,6 +1,10 @@
 package repro.core
 
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 import repro.SparkSpec
+import repro.events.AttackTrace
+import repro.queries.DemoQueries
 import repro.saql.Parser
 import TestEvents._
 
@@ -180,6 +184,27 @@ class QueryEngineSpec extends SparkSpec {
     val evs = Seq(net(0, 100_000L, "burst.exe", "1.1.1.1", 20_000))
     val alerts = QueryEngine.run(df(spark, evs), smaQuery)
     assert(alerts.head.ts == 110_000L) // window [100k, 110k)
+  }
+
+  test("rule: the 4-pattern chain runs as exactly one Spark job") {
+    val stream = AttackTrace.withBackground(spark, sf = 0.002, seed = 0,
+      attackStartMs = 1_800_000L).cache()
+    stream.count()
+    val sc = spark.sparkContext
+    def inGroup[T](group: String)(body: => T): T = {
+      sc.setJobGroup(group, group)
+      try body finally sc.clearJobGroup()
+    }
+    val alerts = inGroup("r5-run")(QueryEngine.run(stream, DemoQueries.r5DataExfiltration(1L)))
+    // The status tracker sees jobs in submission order: once a later
+    // marker job shows, every job of the run does too.
+    inGroup("r5-marker")(sc.parallelize(Seq(1), 1).count())
+    eventually(timeout(30.seconds)) {
+      assert(sc.statusTracker.getJobIdsForGroup("r5-marker").nonEmpty)
+    }
+    assert(sc.statusTracker.getJobIdsForGroup("r5-run").length == 1)
+    assert(alerts.size == 1)
+    stream.unpersist()
   }
 
   // ------------------------------------------------------- early errors
